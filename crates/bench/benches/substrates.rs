@@ -1,9 +1,17 @@
 //! Wall-clock micro-benchmarks of the substrates: SCI packetisation and
 //! latency model, node memory, disk simulator, undo-record codec, the
 //! typed record containers, and the TCP wire protocol.
+//!
+//! With `--json` it writes `results/BENCH_substrates.json`: the measured
+//! CRC-32 cost at 256 B and 64 KiB, gated as durations against
+//! `results/baselines/BENCH_substrates.json` so a slow CRC (the old
+//! bit-at-a-time loop was ~11x slower) fails CI.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::time::Instant;
 
+use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+
+use perseas_bench::BenchReport;
 use perseas_core::{crc32, UndoRecord};
 use perseas_disk::{DiskParams, SimDisk, WriteMode};
 use perseas_rnram::plan_transfer;
@@ -63,6 +71,12 @@ fn bench_codec(c: &mut Criterion) {
     g.bench_function("crc32_256b", |b| {
         b.iter(|| crc32(&[std::hint::black_box(&payload)]));
     });
+    let big = vec![3u8; 64 * 1024];
+    g.throughput(Throughput::Bytes(big.len() as u64));
+    g.bench_function("crc32_64k", |b| {
+        b.iter(|| crc32(&[std::hint::black_box(&big)]));
+    });
+    g.throughput(Throughput::Bytes(payload.len() as u64));
     g.bench_function("undo_record_roundtrip", |b| {
         let rec = UndoRecord {
             txn_id: 9,
@@ -146,4 +160,47 @@ criterion_group! {
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_sci, bench_disk, bench_codec, bench_store, bench_tcp
 }
-criterion_main!(benches);
+
+/// Wall time of one `crc32` call over `len` bytes, in nanoseconds: the
+/// median of 15 batches of about 16 MiB each, so one slow batch (host
+/// noise) does not move the gated figure.
+fn crc_ns(len: usize) -> f64 {
+    let data = vec![3u8; len];
+    let calls = ((16 << 20) / len).max(1);
+    let mut batches: Vec<f64> = (0..15)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..calls {
+                std::hint::black_box(crc32(&[std::hint::black_box(&data)]));
+            }
+            t.elapsed().as_nanos() as f64 / calls as f64
+        })
+        .collect();
+    batches.sort_by(f64::total_cmp);
+    batches[batches.len() / 2]
+}
+
+fn main() {
+    benches();
+    let ns_256 = crc_ns(256);
+    let ns_64k = crc_ns(64 * 1024);
+    let mib_s = |len: usize, ns: f64| len as f64 / ns * 1e9 / (1 << 20) as f64;
+    println!(
+        "substrates: crc32 {ns_256:.0} ns per 256 B ({:.0} MiB/s), \
+         {:.1} us per 64 KiB ({:.0} MiB/s)",
+        mib_s(256, ns_256),
+        ns_64k / 1e3,
+        mib_s(64 * 1024, ns_64k)
+    );
+    // Wall clock on shared runners is noisy, so the gate is loose (75%),
+    // but a 2x slower CRC — let alone the ~11x of a bitwise loop — fails.
+    if let Some(json) = BenchReport::new("substrates")
+        .measured("crc32_256b_ns", ns_256)
+        .measured("crc32_64k_ns", ns_64k)
+        .gate_duration_within("crc32_256b_ns", 75.0)
+        .gate_duration_within("crc32_64k_ns", 75.0)
+        .write_if_json_mode()
+    {
+        println!("substrates: wrote {json}");
+    }
+}

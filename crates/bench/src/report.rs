@@ -21,6 +21,9 @@ pub fn json_mode() -> bool {
 pub struct BenchReport {
     bench: String,
     metrics: Vec<(String, Json)>,
+    /// How each labelled metric was obtained (`"measured"`: wall clock
+    /// on the machine that ran the bench).
+    basis: Vec<(String, Json)>,
     gate: Vec<(String, Json)>,
 }
 
@@ -30,6 +33,7 @@ impl BenchReport {
         BenchReport {
             bench: bench.into(),
             metrics: Vec::new(),
+            basis: Vec::new(),
             gate: Vec::new(),
         }
     }
@@ -39,6 +43,15 @@ impl BenchReport {
     pub fn metric(mut self, name: &str, value: f64) -> Self {
         self.metrics.push((name.to_string(), Json::Num(value)));
         self
+    }
+
+    /// Records one flat metric labelled *measured*: a wall-clock figure
+    /// of this machine, as opposed to a modeled (virtual-time) or counted
+    /// one. The label lands in the report's `basis` object.
+    #[must_use]
+    pub fn measured(mut self, name: &str, value: f64) -> Self {
+        self.basis.push((name.to_string(), Json::str("measured")));
+        self.metric(name, value)
     }
 
     /// Gates an already-recorded metric as lower-is-better.
@@ -56,40 +69,54 @@ impl BenchReport {
     /// Gates an already-recorded metric as a duration: lower-is-better
     /// with the gate tool's default tolerance for the class.
     #[must_use]
-    pub fn gate_duration(mut self, name: &str) -> Self {
-        assert!(
-            self.metrics.iter().any(|(n, _)| n == name),
-            "gated metric {name} must be recorded first"
-        );
-        self.gate.push((
-            name.to_string(),
-            Json::object(vec![("class", Json::str("duration"))]),
-        ));
-        self
+    pub fn gate_duration(self, name: &str) -> Self {
+        self.gate_spec(name, vec![("class", Json::str("duration"))])
     }
 
-    fn gate(mut self, name: &str, better: &str, tolerance_pct: f64) -> Self {
+    /// Gates an already-recorded metric as a duration with an explicit
+    /// tolerance, for wall-clock durations noisier than the default
+    /// allows.
+    #[must_use]
+    pub fn gate_duration_within(self, name: &str, tolerance_pct: f64) -> Self {
+        self.gate_spec(
+            name,
+            vec![
+                ("class", Json::str("duration")),
+                ("tolerance_pct", Json::Num(tolerance_pct)),
+            ],
+        )
+    }
+
+    fn gate(self, name: &str, better: &str, tolerance_pct: f64) -> Self {
+        self.gate_spec(
+            name,
+            vec![
+                ("better", Json::str(better)),
+                ("tolerance_pct", Json::Num(tolerance_pct)),
+            ],
+        )
+    }
+
+    fn gate_spec(mut self, name: &str, spec: Vec<(&str, Json)>) -> Self {
         assert!(
             self.metrics.iter().any(|(n, _)| n == name),
             "gated metric {name} must be recorded first"
         );
-        self.gate.push((
-            name.to_string(),
-            Json::object(vec![
-                ("better", Json::str(better)),
-                ("tolerance_pct", Json::Num(tolerance_pct)),
-            ]),
-        ));
+        self.gate.push((name.to_string(), Json::object(spec)));
         self
     }
 
     /// The report as a JSON document.
     pub fn render(&self) -> String {
-        let doc = Json::Object(vec![
+        let mut fields = vec![
             ("bench".to_string(), Json::str(&self.bench)),
             ("metrics".to_string(), Json::Object(self.metrics.clone())),
-            ("gate".to_string(), Json::Object(self.gate.clone())),
-        ]);
+        ];
+        if !self.basis.is_empty() {
+            fields.push(("basis".to_string(), Json::Object(self.basis.clone())));
+        }
+        fields.push(("gate".to_string(), Json::Object(self.gate.clone())));
+        let doc = Json::Object(fields);
         format!("{doc}\n")
     }
 
@@ -127,6 +154,24 @@ mod tests {
         let vt = &gate.iter().find(|(k, _)| k == "virtual_us").unwrap().1;
         assert_eq!(vt.get("better").and_then(Json::as_str), Some("lower"));
         assert_eq!(vt.get("tolerance_pct").and_then(Json::as_f64), Some(15.0));
+    }
+
+    #[test]
+    fn measured_metrics_are_labelled_and_duration_gates_carry_a_tolerance() {
+        let report = BenchReport::new("demo")
+            .measured("wall_ns", 80.0)
+            .metric("count", 3.0)
+            .gate_duration_within("wall_ns", 75.0);
+        let doc = Json::parse(&report.render()).expect("valid json");
+        let basis = doc.get("basis").and_then(Json::as_object).unwrap();
+        assert_eq!(basis.len(), 1, "only the measured metric is labelled");
+        assert_eq!(basis[0].0, "wall_ns");
+        assert_eq!(basis[0].1.as_str(), Some("measured"));
+        let gate = doc.get("gate").and_then(|g| g.get("wall_ns")).unwrap();
+        assert_eq!(gate.get("class").and_then(Json::as_str), Some("duration"));
+        assert_eq!(gate.get("tolerance_pct").and_then(Json::as_f64), Some(75.0));
+        // Unlabelled reports keep their old shape.
+        assert!(!BenchReport::new("plain").render().contains("basis"));
     }
 
     #[test]

@@ -240,4 +240,66 @@ mod tests {
         .unwrap();
         assert_eq!(restored.last_committed(), 0);
     }
+
+    /// Every durable encoding and one wire frame, byte for byte as the
+    /// bitwise CRC-32 produced them: swapping the CRC implementation must
+    /// not move a single byte of any record, slot, archive or frame.
+    #[test]
+    fn encodings_match_golden_bytes() {
+        use crate::layout::{encode_group_header, RedoRecord, UndoRecord};
+        use perseas_rnram::protocol::{write_frame, Request};
+
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+
+        let undo = UndoRecord {
+            txn_id: 9,
+            region: 1,
+            offset: 128,
+            len: 40,
+        };
+        let payload: Vec<u8> = (0..40u8).collect();
+        let mut undo_bytes = vec![0u8; undo.encoded_len()];
+        undo.encode_into(&mut undo_bytes, 0, &payload);
+
+        let redo = RedoRecord {
+            txn_id: 10,
+            region: 2,
+            offset: 4096,
+            len: 33,
+        };
+        let payload: Vec<u8> = (0..33u8).map(|i| i.wrapping_mul(7)).collect();
+        let mut redo_bytes = vec![0u8; redo.encoded_len()];
+        redo.encode_into(&mut redo_bytes, 0, &payload);
+
+        let (db, _) = built();
+        let archive = db.archive().unwrap();
+
+        let mut frame = Vec::new();
+        let write = Request::Write {
+            seg: 3,
+            offset: 64,
+            data: b"golden".to_vec(),
+        };
+        write_frame(&mut frame, &write.encode()).unwrap();
+
+        let got = [
+            ("undo", hex(&undo_bytes)),
+            ("redo", hex(&redo_bytes)),
+            ("group", hex(&encode_group_header(1234))),
+            ("archive", hex(&archive)),
+            ("frame", hex(&frame)),
+        ];
+        let want = [
+            "4f444e5509000000000000000100000080000000000000002800000000000000a5a1f9af000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021222324252627",
+            "4f4445520a00000000000000020000000010000000000000210000000000000069005f5800070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0",
+            "50555247d204000000000000cc8022f9",
+            "4843524153524550010000000100000005000000000000004000000000000000050000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005a2eb26c",
+            "170000000303000000000000004000000000000000676f6c64656e4c60b9fe",
+        ];
+        for ((name, bytes), want) in got.iter().zip(want) {
+            assert_eq!(bytes, want, "{name} encoding changed");
+        }
+    }
 }

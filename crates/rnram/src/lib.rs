@@ -47,6 +47,7 @@
 //! ```
 
 mod backoff;
+mod crc;
 mod error;
 mod memcpy;
 mod metrics;
@@ -59,6 +60,7 @@ mod tcp;
 mod traits;
 
 pub use backoff::BackoffPolicy;
+pub use crc::{crc32, crc32_parts};
 pub use error::RnError;
 pub use memcpy::{mirror_copy, plan_transfer, TransferPlan, TransferStrategy};
 pub use mux::{AnyRemote, MuxSession, SessionMux, MUX_ENV};

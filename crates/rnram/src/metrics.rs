@@ -17,11 +17,12 @@ pub(crate) struct OpMetrics {
 /// The opcode label values the server registers up front. `seq`-wrapped
 /// requests are attributed to their inner opcode; undecodable frames get
 /// their own bucket so a fuzzing client is visible in the metrics.
-pub(crate) const SERVER_OPS: [&str; 12] = [
+pub(crate) const SERVER_OPS: [&str; 13] = [
     "malloc",
     "free",
     "write",
     "read",
+    "read_v",
     "write_v",
     "connect",
     "info",
@@ -202,6 +203,56 @@ mod tests {
                 text.contains(&format!("perseas_server_requests_total{{op=\"{op}\"}} 1")),
                 "{op} missing from exposition"
             );
+        }
+    }
+
+    #[test]
+    fn every_op_label_the_server_uses_is_registered() {
+        use crate::protocol::Request;
+        let ping = || Box::new(Request::Ping);
+        let one_of_each = [
+            Request::Malloc { len: 1, tag: 1 },
+            Request::Free { seg: 1 },
+            Request::Write {
+                seg: 1,
+                offset: 0,
+                data: vec![1],
+            },
+            Request::Read {
+                seg: 1,
+                offset: 0,
+                len: 1,
+            },
+            Request::ReadV {
+                reads: vec![(1, 0, 1)],
+            },
+            Request::WriteV {
+                ranges: vec![(1, 0, vec![1])],
+            },
+            Request::Connect { tag: 1 },
+            Request::Info { seg: 1 },
+            Request::Name,
+            Request::Ping,
+            Request::Shutdown,
+            Request::SessClose,
+            Request::Seq {
+                seq: 0,
+                inner: ping(),
+            },
+            Request::Mux {
+                session: 0,
+                seq: 0,
+                inner: ping(),
+            },
+        ];
+        let mut used: Vec<&str> = one_of_each.iter().map(crate::server::op_name).collect();
+        // Undecodable frames are labelled by the server loop itself.
+        used.push("decode_error");
+        for op in &used {
+            assert!(SERVER_OPS.contains(op), "op label {op} not registered");
+        }
+        for op in SERVER_OPS {
+            assert!(used.contains(&op), "registered label {op} is never used");
         }
     }
 

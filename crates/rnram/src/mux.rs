@@ -114,7 +114,7 @@ impl MuxIo {
 
     fn read_mux(&mut self) -> Result<(u64, u64, Response), RnError> {
         let body = read_frame(&mut self.stream).inspect_err(|_| self.dead = true)?;
-        match Response::decode(&body) {
+        match Response::decode_owned(body) {
             Ok(Response::Mux {
                 session,
                 seq,
@@ -207,6 +207,9 @@ impl MuxIo {
                     "unsolicited response for session {s} seq {q}"
                 )));
             }
+        }
+        if self.sessions[&session].outstanding.is_empty() {
+            crate::tcp::check_peer_open(&self.stream).inspect_err(|_| self.dead = true)?;
         }
         self.send(body)?;
         let st = self.sessions.get_mut(&session).expect("open session");

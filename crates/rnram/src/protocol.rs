@@ -8,11 +8,13 @@
 //! +----------------+----------------------+----------------+
 //! ```
 //!
-//! All integers are little-endian. The CRC is the IEEE 802.3 CRC-32.
+//! All integers are little-endian. The CRC is the IEEE 802.3 CRC-32
+//! ([`crate::crc32`]). A sender puts each frame on the socket with one
+//! write, and a receiver reads body and trailer with one read.
 
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
-use crate::RnError;
+use crate::{crc32, RnError};
 
 /// Upper bound on a frame body; a malloc of the node's whole 64 MB plus
 /// slack.
@@ -175,19 +177,6 @@ const RE_MUX: u8 = 134;
 const RE_OVERLOADED: u8 = 135;
 const RE_DATA_V: u8 = 136;
 
-/// Computes the IEEE CRC-32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -205,53 +194,59 @@ impl Request {
     /// Serializes the request into a frame body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the request's frame body to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Malloc { len, tag } => {
                 out.push(OP_MALLOC);
-                put_u64(&mut out, *len);
-                put_u64(&mut out, *tag);
+                put_u64(out, *len);
+                put_u64(out, *tag);
             }
             Request::Free { seg } => {
                 out.push(OP_FREE);
-                put_u64(&mut out, *seg);
+                put_u64(out, *seg);
             }
             Request::Write { seg, offset, data } => {
                 out.push(OP_WRITE);
-                put_u64(&mut out, *seg);
-                put_u64(&mut out, *offset);
+                put_u64(out, *seg);
+                put_u64(out, *offset);
                 out.extend_from_slice(data);
             }
             Request::Read { seg, offset, len } => {
                 out.push(OP_READ);
-                put_u64(&mut out, *seg);
-                put_u64(&mut out, *offset);
-                put_u64(&mut out, *len);
+                put_u64(out, *seg);
+                put_u64(out, *offset);
+                put_u64(out, *len);
             }
             Request::Connect { tag } => {
                 out.push(OP_CONNECT);
-                put_u64(&mut out, *tag);
+                put_u64(out, *tag);
             }
             Request::Info { seg } => {
                 out.push(OP_INFO);
-                put_u64(&mut out, *seg);
+                put_u64(out, *seg);
             }
             Request::WriteV { ranges } => {
                 out.push(OP_WRITE_V);
-                put_u64(&mut out, ranges.len() as u64);
+                put_u64(out, ranges.len() as u64);
                 for (seg, offset, data) in ranges {
-                    put_u64(&mut out, *seg);
-                    put_u64(&mut out, *offset);
-                    put_u64(&mut out, data.len() as u64);
+                    put_u64(out, *seg);
+                    put_u64(out, *offset);
+                    put_u64(out, data.len() as u64);
                     out.extend_from_slice(data);
                 }
             }
             Request::ReadV { reads } => {
                 out.push(OP_READ_V);
-                put_u64(&mut out, reads.len() as u64);
+                put_u64(out, reads.len() as u64);
                 for (seg, offset, len) in reads {
-                    put_u64(&mut out, *seg);
-                    put_u64(&mut out, *offset);
-                    put_u64(&mut out, *len);
+                    put_u64(out, *seg);
+                    put_u64(out, *offset);
+                    put_u64(out, *len);
                 }
             }
             Request::Name => out.push(OP_NAME),
@@ -259,8 +254,8 @@ impl Request {
             Request::Shutdown => out.push(OP_SHUTDOWN),
             Request::Seq { seq, inner } => {
                 out.push(OP_SEQ);
-                put_u64(&mut out, *seq);
-                out.extend_from_slice(&inner.encode());
+                put_u64(out, *seq);
+                inner.encode_into(out);
             }
             Request::Mux {
                 session,
@@ -268,13 +263,12 @@ impl Request {
                 inner,
             } => {
                 out.push(OP_MUX);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *seq);
-                out.extend_from_slice(&inner.encode());
+                put_u64(out, *session);
+                put_u64(out, *seq);
+                inner.encode_into(out);
             }
             Request::SessClose => out.push(OP_SESS_CLOSE),
         }
-        out
     }
 
     /// Parses a frame body into a request.
@@ -405,53 +399,36 @@ pub fn encode_write(seq: Option<u64>, seg: u64, offset: u64, data: &[u8]) -> Vec
         out.push(OP_SEQ);
         put_u64(&mut out, s);
     }
-    out.push(OP_WRITE);
-    put_u64(&mut out, seg);
-    put_u64(&mut out, offset);
-    out.extend_from_slice(data);
+    put_write(&mut out, seg, offset, data);
     out
 }
 
 /// Encodes a `WriteV` request body straight from borrowed ranges (see
 /// [`encode_write`]): one allocation, one copy per range.
 pub fn encode_write_v(seq: Option<u64>, ranges: &[(u64, u64, &[u8])]) -> Vec<u8> {
-    let payload: usize = ranges.iter().map(|(_, _, d)| d.len()).sum();
-    let mut out = Vec::with_capacity(payload + 24 * ranges.len() + 18);
+    let mut out = Vec::with_capacity(write_v_len(ranges) + 9);
     if let Some(s) = seq {
         out.push(OP_SEQ);
         put_u64(&mut out, s);
     }
-    out.push(OP_WRITE_V);
-    put_u64(&mut out, ranges.len() as u64);
-    for &(seg, offset, data) in ranges {
-        put_u64(&mut out, seg);
-        put_u64(&mut out, offset);
-        put_u64(&mut out, data.len() as u64);
-        out.extend_from_slice(data);
-    }
+    put_write_v(&mut out, ranges);
     out
 }
 
 /// Encodes `req` wrapped in a [`Request::Seq`] body without cloning the
 /// request.
 pub fn encode_seq(seq: u64, req: &Request) -> Vec<u8> {
-    let inner = req.encode();
-    let mut out = Vec::with_capacity(inner.len() + 9);
-    out.push(OP_SEQ);
+    let mut out = vec![OP_SEQ];
     put_u64(&mut out, seq);
-    out.extend_from_slice(&inner);
+    req.encode_into(&mut out);
     out
 }
 
 /// Encodes `req` wrapped in a [`Request::Mux`] body without cloning the
 /// request.
 pub fn encode_mux(session: u64, seq: u64, req: &Request) -> Vec<u8> {
-    let inner = req.encode();
-    let mut out = Vec::with_capacity(inner.len() + 17);
-    out.push(OP_MUX);
-    put_u64(&mut out, session);
-    put_u64(&mut out, seq);
-    out.extend_from_slice(&inner);
+    let mut out = mux_header(session, seq, 0);
+    req.encode_into(&mut out);
     out
 }
 
@@ -459,40 +436,89 @@ pub fn encode_mux(session: u64, seq: u64, req: &Request) -> Vec<u8> {
 /// payload (the [`Request::Mux`] counterpart of [`encode_write`]): one
 /// allocation, one copy of `data`.
 pub fn encode_write_mux(session: u64, seq: u64, seg: u64, offset: u64, data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() + 42);
-    out.push(OP_MUX);
-    put_u64(&mut out, session);
-    put_u64(&mut out, seq);
-    out.push(OP_WRITE);
-    put_u64(&mut out, seg);
-    put_u64(&mut out, offset);
-    out.extend_from_slice(data);
+    let mut out = mux_header(session, seq, data.len() + 25);
+    put_write(&mut out, seg, offset, data);
     out
 }
 
 /// Encodes a session-wrapped `WriteV` body straight from borrowed ranges
 /// (the [`Request::Mux`] counterpart of [`encode_write_v`]).
 pub fn encode_write_v_mux(session: u64, seq: u64, ranges: &[(u64, u64, &[u8])]) -> Vec<u8> {
-    let payload: usize = ranges.iter().map(|(_, _, d)| d.len()).sum();
-    let mut out = Vec::with_capacity(payload + 24 * ranges.len() + 26);
+    let mut out = mux_header(session, seq, write_v_len(ranges));
+    put_write_v(&mut out, ranges);
+    out
+}
+
+/// A `Mux` header with room for `inner` more body bytes.
+fn mux_header(session: u64, seq: u64, inner: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(inner + 17);
     out.push(OP_MUX);
     put_u64(&mut out, session);
     put_u64(&mut out, seq);
+    out
+}
+
+fn put_write(out: &mut Vec<u8>, seg: u64, offset: u64, data: &[u8]) {
+    out.push(OP_WRITE);
+    put_u64(out, seg);
+    put_u64(out, offset);
+    out.extend_from_slice(data);
+}
+
+/// The body length of an unwrapped `WriteV` over `ranges`.
+fn write_v_len(ranges: &[(u64, u64, &[u8])]) -> usize {
+    9 + ranges.iter().map(|(_, _, d)| 24 + d.len()).sum::<usize>()
+}
+
+fn put_write_v(out: &mut Vec<u8>, ranges: &[(u64, u64, &[u8])]) {
     out.push(OP_WRITE_V);
-    put_u64(&mut out, ranges.len() as u64);
+    put_u64(out, ranges.len() as u64);
     for &(seg, offset, data) in ranges {
-        put_u64(&mut out, seg);
-        put_u64(&mut out, offset);
-        put_u64(&mut out, data.len() as u64);
+        put_u64(out, seg);
+        put_u64(out, offset);
+        put_u64(out, data.len() as u64);
         out.extend_from_slice(data);
     }
-    out
 }
 
 impl Response {
     /// Serializes the response into a frame body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// The full wire frame of the response (length prefix + body + CRC)
+    /// in one buffer: the body is encoded in place after four reserved
+    /// prefix bytes, so a payload is copied once, straight into the frame.
+    /// The event-driven server builds these up front so it can write them
+    /// incrementally as the socket drains.
+    pub fn encode_frame(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.payload_len() + 64);
+        out.extend_from_slice(&[0; 4]);
+        self.encode_into(&mut out);
+        let len = out.len() - 4;
+        out[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        let crc = crc32(&out[4..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    /// Variable-length body bytes, so [`Self::encode_frame`] can size its
+    /// buffer once (fixed headers fit in its slack).
+    fn payload_len(&self) -> usize {
+        match self {
+            Response::Data(d) => d.len(),
+            Response::DataV(bufs) => bufs.iter().map(|b| b.len() + 8).sum(),
+            Response::Name(m) | Response::Err(m) => m.len(),
+            Response::Tagged { inner, .. } | Response::Mux { inner, .. } => inner.payload_len(),
+            _ => 0,
+        }
+    }
+
+    /// Appends the response's frame body to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Ok => out.push(RE_OK),
             Response::Segment {
@@ -502,10 +528,10 @@ impl Response {
                 base_addr,
             } => {
                 out.push(RE_SEGMENT);
-                put_u64(&mut out, *seg);
-                put_u64(&mut out, *len);
-                put_u64(&mut out, *tag);
-                put_u64(&mut out, *base_addr);
+                put_u64(out, *seg);
+                put_u64(out, *len);
+                put_u64(out, *tag);
+                put_u64(out, *base_addr);
             }
             Response::Data(d) => {
                 out.push(RE_DATA);
@@ -513,9 +539,9 @@ impl Response {
             }
             Response::DataV(bufs) => {
                 out.push(RE_DATA_V);
-                put_u64(&mut out, bufs.len() as u64);
+                put_u64(out, bufs.len() as u64);
                 for b in bufs {
-                    put_u64(&mut out, b.len() as u64);
+                    put_u64(out, b.len() as u64);
                     out.extend_from_slice(b);
                 }
             }
@@ -529,8 +555,8 @@ impl Response {
             }
             Response::Tagged { seq, inner } => {
                 out.push(RE_TAGGED);
-                put_u64(&mut out, *seq);
-                out.extend_from_slice(&inner.encode());
+                put_u64(out, *seq);
+                inner.encode_into(out);
             }
             Response::Mux {
                 session,
@@ -538,13 +564,41 @@ impl Response {
                 inner,
             } => {
                 out.push(RE_MUX);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *seq);
-                out.extend_from_slice(&inner.encode());
+                put_u64(out, *session);
+                put_u64(out, *seq);
+                inner.encode_into(out);
             }
             Response::Overloaded => out.push(RE_OVERLOADED),
         }
-        out
+    }
+
+    /// Parses a frame body into a response, taking ownership of it: a
+    /// [`Response::Data`] payload — bare or under one `Tagged`/`Mux`
+    /// header — keeps the frame's own buffer (its header bytes shifted
+    /// out in place) instead of being copied into a new one, so a large
+    /// recovery read is never held twice.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RnError::Protocol`] on malformed input.
+    pub fn decode_owned(mut body: Vec<u8>) -> Result<Response, RnError> {
+        let at = match body.first() {
+            Some(&RE_TAGGED) => 9,
+            Some(&RE_MUX) => 17,
+            _ => 0,
+        };
+        if body.get(at) != Some(&RE_DATA) {
+            return Response::decode(&body);
+        }
+        // Decode the headers over an empty payload, then move it in.
+        let mut resp = Response::decode(&body[..=at])?;
+        body.drain(..=at);
+        let data = match &mut resp {
+            Response::Tagged { inner, .. } | Response::Mux { inner, .. } => &mut **inner,
+            bare => bare,
+        };
+        *data = Response::Data(body);
+        Ok(resp)
     }
 
     /// Parses a frame body into a response.
@@ -626,32 +680,34 @@ impl Response {
     }
 }
 
-/// Writes one frame (length prefix + body + CRC).
+/// Writes one frame (length prefix + body + CRC) with a single vectored
+/// write: prefix and trailer are gathered around the borrowed body, so
+/// the payload is neither copied nor split across `TCP_NODELAY`
+/// segments. A writer that accepts only part of the frame is written
+/// to again until the frame is complete.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> Result<(), RnError> {
-    let len = body.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
-    w.write_all(&crc32(body).to_le_bytes())?;
+    let len = (body.len() as u32).to_le_bytes();
+    let crc = crc32(body).to_le_bytes();
+    let mut parts = [IoSlice::new(&len), IoSlice::new(body), IoSlice::new(&crc)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
 
-/// The full wire encoding of one frame (length prefix + body + CRC) as a
-/// single buffer. The event-driven server builds these up front so it can
-/// write them incrementally as the socket drains.
-pub fn frame_bytes(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out
-}
-
-/// Reads one frame, verifying length bounds and CRC.
+/// Reads one frame, verifying length bounds and CRC. Body and CRC trailer
+/// arrive in one read into one buffer, which is returned as the body.
 ///
 /// # Errors
 ///
@@ -664,11 +720,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, RnError> {
     if len > MAX_FRAME {
         return Err(RnError::Protocol(format!("frame of {len} bytes too large")));
     }
-    let mut body = vec![0u8; len];
+    let mut body = vec![0u8; len + 4];
     r.read_exact(&mut body)?;
-    let mut crc_buf = [0u8; 4];
-    r.read_exact(&mut crc_buf)?;
-    if u32::from_le_bytes(crc_buf) != crc32(&body) {
+    let crc = u32::from_le_bytes(body[len..].try_into().expect("4-byte trailer"));
+    body.truncate(len);
+    if crc != crc32(&body) {
         return Err(RnError::Protocol("CRC mismatch".into()));
     }
     Ok(body)
@@ -680,9 +736,13 @@ mod tests {
 
     #[test]
     fn crc32_known_vector() {
-        // The canonical check value for IEEE CRC-32.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        // The frame trailer is the IEEE CRC-32 of the body: the canonical
+        // check value for "123456789", and 0 for an empty body.
+        for (body, crc) in [(&b"123456789"[..], 0xCBF4_3926u32), (b"", 0)] {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, body).unwrap();
+            assert_eq!(wire[wire.len() - 4..], crc.to_le_bytes());
+        }
     }
 
     #[test]
@@ -1118,6 +1178,133 @@ mod tests {
             read_frame(&mut bad.as_slice()),
             Err(RnError::Protocol(_))
         ));
+    }
+
+    /// A writer that counts `write`/`write_vectored` calls and accepts at
+    /// most `accept` bytes per call, like a socket with that much send
+    /// buffer free.
+    struct CountingWriter {
+        accept: usize,
+        calls: usize,
+        out: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.accept;
+            for b in bufs {
+                let n = b.len().min(room);
+                self.out.extend_from_slice(&b[..n]);
+                room -= n;
+            }
+            Ok(self.accept - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_per_frame() {
+        for len in [0usize, 1, 100, 64 * 1024, 300 * 1024] {
+            let body = vec![0xA5u8; len];
+            let mut expect = Vec::new();
+            expect.extend_from_slice(&(len as u32).to_le_bytes());
+            expect.extend_from_slice(&body);
+            expect.extend_from_slice(&crc32(&body).to_le_bytes());
+
+            // A socket that takes the whole frame gets exactly one call.
+            let mut w = CountingWriter {
+                accept: len + 8,
+                calls: 0,
+                out: Vec::new(),
+            };
+            write_frame(&mut w, &body).unwrap();
+            assert_eq!(w.calls, 1, "{len}-byte body took {} writes", w.calls);
+            assert_eq!(w.out, expect);
+
+            // A socket that takes 3 bytes at a time still gets the frame,
+            // in order, over as many calls as it needs.
+            let mut w = CountingWriter {
+                accept: 3,
+                calls: 0,
+                out: Vec::new(),
+            };
+            if len <= 100 {
+                write_frame(&mut w, &body).unwrap();
+                assert_eq!(w.calls, (len + 8).div_ceil(3));
+                assert_eq!(w.out, expect);
+            }
+        }
+    }
+
+    #[test]
+    fn encode_frame_matches_write_frame() {
+        let resps = [
+            Response::Ok,
+            Response::Data(vec![9; 70_000]),
+            Response::DataV(vec![vec![1, 2], vec![], vec![3; 40]]),
+            Response::Err("no such segment".into()),
+            Response::Mux {
+                session: 3,
+                seq: 4,
+                inner: Box::new(Response::Data(vec![7; 13])),
+            },
+        ];
+        for resp in resps {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &resp.encode()).unwrap();
+            assert_eq!(resp.encode_frame(), wire, "{resp:?}");
+        }
+    }
+
+    #[test]
+    fn decode_owned_matches_decode() {
+        let data = Response::Data((0..=255).collect());
+        let bodies = [
+            data.encode(),
+            Response::Data(Vec::new()).encode(),
+            Response::Tagged {
+                seq: 5,
+                inner: Box::new(data.clone()),
+            }
+            .encode(),
+            Response::Mux {
+                session: 1,
+                seq: 2,
+                inner: Box::new(data.clone()),
+            }
+            .encode(),
+            Response::Tagged {
+                seq: 5,
+                inner: Box::new(Response::Ok),
+            }
+            .encode(),
+            Response::DataV(vec![vec![4; 9]]).encode(),
+            // Hand-built: a mux-wrapped empty payload, then malformed
+            // ones (a truncated wrapper, a wrapper of a wrapper).
+            vec![
+                RE_MUX, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, RE_DATA,
+            ],
+            vec![RE_TAGGED, 1, 2],
+            vec![RE_TAGGED, 0, 0, 0, 0, 0, 0, 0, 0, RE_TAGGED, RE_DATA],
+            vec![],
+        ];
+        for body in bodies {
+            let borrowed = Response::decode(&body);
+            let owned = Response::decode_owned(body.clone());
+            match (borrowed, owned) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{body:?}"),
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("{body:?}: decode {a:?} vs decode_owned {b:?}"),
+            }
+        }
     }
 
     #[test]

@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 use perseas_sci::{NodeMemory, SciError, SegmentId};
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{crc32, frame_bytes, read_frame, write_frame, Request, Response, MAX_FRAME};
-use crate::RnError;
+use crate::protocol::{read_frame, write_frame, Request, Response, MAX_FRAME};
+use crate::{crc32, RnError};
 
 /// Readiness notification without new dependencies: a thin shim over the
 /// libc `poll(2)` that std already links. The non-unix fallback claims
@@ -656,7 +656,9 @@ fn read_ready(conn: &mut Conn, ctx: &mut Ctx) {
 
 /// Splits complete frames out of the connection's read buffer, enforcing
 /// the same length and CRC rules as [`read_frame`]: a violation kills this
-/// connection (and only this connection).
+/// connection (and only this connection). The CRC is checked and the
+/// request decoded on the bytes where they sit in `rbuf`, so a payload
+/// is copied once, into its decoded request.
 fn parse_frames(conn: &mut Conn, ctx: &mut Ctx) {
     while !conn.dead && !ctx.stop.load(Ordering::SeqCst) {
         let buf = &conn.rbuf[conn.rpos..];
@@ -672,15 +674,16 @@ fn parse_frames(conn: &mut Conn, ctx: &mut Ctx) {
         if buf.len() < len + 8 {
             break;
         }
-        let body = buf[4..4 + len].to_vec();
+        let body = &buf[4..4 + len];
         let crc = u32::from_le_bytes(buf[4 + len..len + 8].try_into().expect("4-byte slice"));
-        if crc != crc32(&body) {
+        if crc != crc32(body) {
             conn.dead = true;
             conn.errored = true;
             break;
         }
+        let decoded = Request::decode(body);
         conn.rpos += len + 8;
-        ingest(conn, body, ctx);
+        ingest(conn, decoded, len, ctx);
     }
     if conn.rpos > 0 && (conn.rpos >= conn.rbuf.len() || conn.rpos > 64 * 1024) {
         conn.rbuf.drain(..conn.rpos);
@@ -692,12 +695,12 @@ fn parse_frames(conn: &mut Conn, ctx: &mut Ctx) {
 /// free and nothing earlier is parked, park it if the queue has room, else
 /// refuse it. Every path enqueues exactly one entry at receipt position,
 /// so responses stay in request order.
-fn ingest(conn: &mut Conn, body: Vec<u8>, ctx: &mut Ctx) {
+fn ingest(conn: &mut Conn, decoded: Result<Request, RnError>, body_len: usize, ctx: &mut Ctx) {
     let received = Instant::now();
     if let Some(m) = ctx.metrics.as_deref() {
-        m.bytes_in.add(body.len() as u64);
+        m.bytes_in.add(body_len as u64);
     }
-    let entry = match Request::decode(&body) {
+    let entry = match decoded {
         Err(e) => ready_response(Response::Err(e.to_string()), "decode_error", received, ctx),
         Ok(req) => {
             let op = op_name(&req);
@@ -742,15 +745,15 @@ fn apply_now(
 /// Encodes `resp` into a slotless `Ready` entry due after the injected
 /// latency, recording the per-opcode metrics.
 fn ready_response(resp: Response, op: &'static str, received: Instant, ctx: &Ctx) -> Entry {
-    let body = resp.encode();
+    let frame = resp.encode_frame();
     if let Some(m) = ctx.metrics.as_deref() {
-        m.bytes_out.add(body.len() as u64);
+        m.bytes_out.add((frame.len() - 8) as u64);
         let o = m.op(op);
         o.requests.inc();
         o.latency.record_wall(received.elapsed());
     }
     Entry::Ready {
-        frame: frame_bytes(&body),
+        frame,
         due: received + ctx.latency,
         written: 0,
         slot: false,
@@ -955,7 +958,7 @@ fn serve_connection(
 
 /// The metrics label for a request's opcode. `Seq` and `Mux` wrappers are
 /// attributed to the operation they carry.
-fn op_name(req: &Request) -> &'static str {
+pub(crate) fn op_name(req: &Request) -> &'static str {
     match req {
         Request::Seq { inner, .. } | Request::Mux { inner, .. } => op_name(inner),
         Request::Malloc { .. } => "malloc",
@@ -1234,8 +1237,32 @@ mod tests {
         let body = read_frame(&mut s).unwrap();
         assert!(matches!(Response::decode(&body).unwrap(), Response::Ok));
         // The fixed post-shutdown window: a later request is never served.
-        write_frame(&mut s, &Request::Ping.encode()).unwrap();
-        assert!(read_frame(&mut s).is_err(), "served a request after stop");
+        // The server may close the socket before the request is even
+        // sent, so a failed write (EPIPE, reset) counts as "not served"
+        // just like a failed read.
+        let served =
+            write_frame(&mut s, &Request::Ping.encode()).is_ok() && read_frame(&mut s).is_ok();
+        assert!(!served, "served a request after stop");
+        server.shutdown();
+    }
+
+    #[test]
+    fn read_v_is_served_and_counted_with_metrics_attached() {
+        let registry = perseas_obs::Registry::new();
+        let server = Server::bind("vec", "127.0.0.1:0")
+            .unwrap()
+            .with_metrics(&registry)
+            .start();
+        let mut c = TcpRemote::connect(server.addr()).unwrap();
+        let seg = c.remote_malloc(64, 1).unwrap();
+        c.remote_write(seg.id, 0, b"gathered reads").unwrap();
+        let got = c.remote_read_v(&[(seg.id, 0, 8), (seg.id, 9, 5)]).unwrap();
+        assert_eq!(got, vec![b"gathered".to_vec(), b"reads".to_vec()]);
+        let text = registry.render();
+        assert!(
+            text.contains("perseas_server_requests_total{op=\"read_v\"} 1"),
+            "read_v not counted once:\n{text}"
+        );
         server.shutdown();
     }
 

@@ -1,6 +1,7 @@
 //! TCP client backend: network RAM on a genuinely separate process.
 
 use std::collections::VecDeque;
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use perseas_sci::SegmentId;
@@ -229,7 +230,7 @@ impl TcpRemote {
         }
         write_frame(&mut self.stream, body)?;
         let resp = read_frame(&mut self.stream)?;
-        Response::decode(&resp)
+        Response::decode_owned(resp)
     }
 
     /// Allocates the next sequence number (pipelined mode only).
@@ -255,6 +256,9 @@ impl TcpRemote {
             stalled = true;
             self.drain_one()?;
         }
+        if self.in_flight() == 0 {
+            check_peer_open(&self.stream)?;
+        }
         write_frame(&mut self.stream, &body)?;
         let p = self.pipeline.as_mut().expect("pipelined mode");
         p.outstanding.push_back((seq, bytes));
@@ -275,7 +279,7 @@ impl TcpRemote {
     /// never returned here.
     fn drain_one(&mut self) -> Result<(), RnError> {
         let body = read_frame(&mut self.stream)?;
-        let resp = Response::decode(&body)?;
+        let resp = Response::decode_owned(body)?;
         let Response::Tagged { seq, inner } = resp else {
             return Err(unexpected(resp));
         };
@@ -306,7 +310,7 @@ impl TcpRemote {
     fn await_tagged(&mut self, want: u64) -> Result<Response, RnError> {
         loop {
             let body = read_frame(&mut self.stream)?;
-            let resp = Response::decode(&body)?;
+            let resp = Response::decode_owned(body)?;
             let Response::Tagged { seq, inner } = resp else {
                 return Err(unexpected(resp));
             };
@@ -350,6 +354,27 @@ impl TcpRemote {
             Response::Err(m) => Err(RnError::Remote(m)),
             other => Err(unexpected(other)),
         }
+    }
+}
+
+/// Fails if the server has already closed `stream`, consuming nothing.
+///
+/// A frame goes out in one write, and the socket of a peer that hung up
+/// still accepts that write, so a posted write would discover the loss
+/// only at its flush barrier, as a lost window. Probing before posting
+/// into an empty window keeps a connection that died idle what it is: a
+/// clean failure that the reconnect wrapper may re-dial and retry.
+pub(crate) fn check_peer_open(stream: &TcpStream) -> Result<(), RnError> {
+    stream.set_nonblocking(true)?;
+    let probe = stream.peek(&mut [0u8; 1]);
+    stream.set_nonblocking(false)?;
+    match probe {
+        Ok(0) => Err(RnError::Io(io::Error::new(
+            io::ErrorKind::ConnectionAborted,
+            "server closed the connection",
+        ))),
+        Err(e) if e.kind() != io::ErrorKind::WouldBlock => Err(e.into()),
+        _ => Ok(()),
     }
 }
 

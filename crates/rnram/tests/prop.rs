@@ -41,17 +41,63 @@ mod wire {
             let _ = SegmentId::from_raw(0);
         }
     }
+}
 
-    fn crc32(data: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in data {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
+/// The reference IEEE CRC-32, one bit at a time straight from the
+/// definition (reflected polynomial, all-ones init and final XOR). It is
+/// independent of the library's table-driven CRC, which is checked
+/// against it below, and it is what the fuzzers frame their bytes with.
+fn crc32(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
         }
-        !crc
+    }
+    !crc
+}
+
+mod crc_oracle {
+    use super::*;
+
+    #[test]
+    fn reference_vectors() {
+        for f in [crc32, perseas_rnram::crc32] {
+            assert_eq!(f(b"123456789"), 0xCBF4_3926);
+            assert_eq!(f(b""), 0);
+        }
+        assert_eq!(
+            perseas_rnram::crc32_parts(&[b"12345", b"6789"]),
+            0xCBF4_3926
+        );
+    }
+
+    proptest! {
+        /// Over random bytes at unaligned start offsets, cut into random
+        /// parts, the one-shot CRC, the multi-part CRC and the bitwise
+        /// reference agree.
+        #[test]
+        fn table_crc_matches_the_bitwise_reference(
+            bytes in prop::collection::vec(any::<u8>(), 0..70_016),
+            skew in 0usize..16,
+            cuts in prop::collection::vec(any::<u32>(), 0..8),
+        ) {
+            let data = &bytes[skew.min(bytes.len())..];
+            let mut at: Vec<usize> = cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
+            at.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for &to in &at {
+                parts.push(&data[from..to]);
+                from = to;
+            }
+            parts.push(&data[from..]);
+            let want = crc32(data);
+            prop_assert_eq!(perseas_rnram::crc32(data), want);
+            prop_assert_eq!(perseas_rnram::crc32_parts(&parts), want);
+        }
     }
 }
 
@@ -133,7 +179,7 @@ proptest! {
 /// well-behaved client.
 mod frame_fuzz {
     use super::*;
-    use perseas_rnram::protocol::{crc32, Request, Response};
+    use perseas_rnram::protocol::{Request, Response};
     use std::io::Write as _;
 
     /// Any request the client can legitimately encode, including the

@@ -369,4 +369,41 @@ mod tests {
         let checks = compare(&base, &cur).unwrap();
         assert_eq!(checks.len(), 2);
     }
+
+    /// The reviewed CRC baseline with every metric multiplied by `factor`.
+    fn scaled_substrates(factor: f64) -> (Json, Json) {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../results/baselines/BENCH_substrates.json"
+        );
+        let text = std::fs::read_to_string(path).expect("substrates baseline");
+        let base = Json::parse(&text).expect("valid baseline");
+        let mut cur = base.clone();
+        if let Json::Object(fields) = &mut cur {
+            for (k, v) in fields.iter_mut() {
+                if let (true, Json::Object(metrics)) = (k == "metrics", v) {
+                    for (_, m) in metrics.iter_mut() {
+                        *m = Json::Num(m.as_f64().unwrap() * factor);
+                    }
+                }
+            }
+        }
+        (base, cur)
+    }
+
+    #[test]
+    fn substrates_crc_gate_fails_a_doctored_2x_slower_run() {
+        let (base, same) = scaled_substrates(1.0);
+        let checks = compare(&base, &same).unwrap();
+        assert_eq!(checks.len(), 2, "both CRC sizes are gated");
+        assert!(checks.iter().all(|c| !c.regressed && !c.higher_is_better));
+
+        // A 2x slower CRC, and a return to the ~11x slower bitwise loop, fail.
+        for factor in [2.0, 11.0] {
+            let (base, slow) = scaled_substrates(factor);
+            for c in compare(&base, &slow).unwrap() {
+                assert!(c.regressed, "{factor}x slower passed: {c:?}");
+            }
+        }
+    }
 }
